@@ -27,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import statistics
 import sys
@@ -37,6 +38,7 @@ import numpy as np
 from repro.models.griddet import GridDetector
 from repro.models.sdd import SDD
 from repro.models.snm import SNMConfig, build_snm_network
+from repro.runtime._blas import blas_threads
 from repro.video.ops import get_resize_plan
 
 from .common import print_table, record_bench
@@ -295,6 +297,10 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            # Per loaded OpenBLAS, as the microbenchmarks ran; the e2e run
+            # pins these to one thread inside ThreadedPipeline.run.
+            "blas_threads": blas_threads(),
             "mode": "quick" if args.quick else "full",
         },
         "cases": results,

@@ -121,6 +121,10 @@ def classify_kind(width: float, height: float) -> str:
 # a [0, 1]-ish confidence scale compatible with the paper's conf > 0.2.
 _RESPONSE_SCALE = 0.25
 
+#: Backgrounds whose resized copy one detector keeps: one per stream of a
+#: typical fleet, with room for streams attached mid-run.
+BG_CACHE_SIZE = 16
+
 
 class GridDetector:
     """Background-deviation grid detector (see module docstring).
@@ -158,25 +162,40 @@ class GridDetector:
         self.conf_threshold = conf_threshold
         self.cell_activation = cell_activation
         self.name = name
-        # Per-background resize cache: detect() is called frame-by-frame with
-        # the same reference image, so resizing it once matters.
-        self._bg_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # Per-background cache of the resized copy and its median.  The
+        # merged ref queue and the round-robin T-YOLO worker switch streams
+        # on almost every call, so one entry per stream's background.
+        self._bg_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._resized: np.ndarray | None = None  # steady-state resize buffer
 
     # ------------------------------------------------------------------
-    def _resized_background(self, background: np.ndarray) -> np.ndarray:
-        # The cache holds a strong reference to the source array and matches
-        # by identity: an ``id()`` key alone can collide when the previous
-        # background is garbage-collected and a new array lands at the same
-        # address, silently serving a stale resize.  Keeping the reference
-        # alive makes address reuse impossible while cached.
-        if self._bg_cache is not None and self._bg_cache[0] is background:
-            return self._bg_cache[1]
+    def _background_entry(self, background: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(resized background, its median or 1.0)``, cached per background.
+
+        Each entry holds a strong reference to its source array and matches
+        by identity: an ``id()`` key alone can collide when a background is
+        garbage-collected and a new array lands at the same address,
+        silently serving a stale resize.  Keeping the reference alive makes
+        address reuse impossible while cached.
+        """
+        entry = self._bg_cache.get(id(background))
+        if entry is not None and entry[0] is background:
+            return entry[1], entry[2]
         resized = resize_bilinear(
             background, (self.resolution, self.resolution), copy=True
         )
-        self._bg_cache = (background, resized)
-        return resized
+        median = float(np.median(resized)) or 1.0
+        cache = self._bg_cache
+        if len(cache) >= BG_CACHE_SIZE:
+            # Start over rather than evict: a rebind is safe against a
+            # concurrent reader, and a fleet this large cycles through
+            # every entry anyway.
+            cache = self._bg_cache = {}
+        cache[id(background)] = (background, resized, median)
+        return resized, median
+
+    def _resized_background(self, background: np.ndarray) -> np.ndarray:
+        return self._background_entry(background)[0]
 
     def response_cells(self, frames: np.ndarray, background: np.ndarray) -> np.ndarray:
         """Normalized per-cell foreground response, ``(N, grid, grid)``.
@@ -197,9 +216,8 @@ class GridDetector:
             if buf is None or buf.shape != shape:
                 buf = self._resized = np.empty(shape, dtype=np.float32)
             resized = plan.apply(batch, out=buf)
-        bg = self._resized_background(np.asarray(background, dtype=np.float32))
+        bg, bg_med = self._background_entry(np.asarray(background, dtype=np.float32))
         # Global multiplicative lighting correction per frame.
-        bg_med = float(np.median(bg)) or 1.0
         frame_med = np.median(resized, axis=(1, 2))
         gain = (frame_med / bg_med)[:, None, None].astype(np.float32)
         resp = np.abs(resized - bg[None] * gain)

@@ -58,6 +58,7 @@ from ..models.zoo import ModelZoo
 from ..obs import Telemetry
 from ..obs.lineage import lineage_section
 from ..store.detstore import DetectionRecord, DetStore
+from ._blas import single_blas_thread
 from .procpool import ProcPool
 from ..video.stream import VideoStream
 
@@ -1223,16 +1224,20 @@ class ThreadedPipeline:
                 name="qplan-sampler", daemon=True,
             )
             planner_thread.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Prefetchers spawned by attach_stream() after the static set was
-        # launched.  Stage workers only exit once *every* first-stage queue
-        # has closed (including reserve slots, closed by attach-exhaust or
-        # seal()), so by now no further dynamic thread can appear.
-        for t in list(self._dyn_threads):
-            t.join()
+        # The stage threads are the parallelism: nested BLAS worker threads
+        # would only oversubscribe the host (see runtime/_blas.py).
+        with single_blas_thread():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            # Prefetchers spawned by attach_stream() after the static set
+            # was launched.  Stage workers only exit once *every*
+            # first-stage queue has closed (including reserve slots, closed
+            # by attach-exhaust or seal()), so by now no further dynamic
+            # thread can appear.
+            for t in list(self._dyn_threads):
+                t.join()
         self._running = False
         duration = time.monotonic() - t0
         if sampler_stop is not None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models import ReferenceModel, TYolo, classify_kind
-from repro.models.griddet import GridDetector
+import repro.models.griddet as griddet
+from repro.models.griddet import BG_CACHE_SIZE, GridDetector
 from repro.models.tyolo import count_filter_mask
 from repro.video import coral, jackson, make_stream
 
@@ -124,6 +125,37 @@ class TestGridDetector:
         det = GridDetector()
         bg = np.full((80, 120), 0.45, dtype=np.float32)
         assert det._resized_background(bg) is det._resized_background(bg)
+
+    def test_background_cache_alternating_streams(self, monkeypatch):
+        # The round-robin T-YOLO worker and the merged ref queue alternate
+        # streams call by call: each background is resized once, and the
+        # responses match a fresh detector's bit for bit.
+        resized = []
+        real_resize = griddet.resize_bilinear
+
+        def counting_resize(img, out_hw, **kw):
+            resized.append(img)
+            return real_resize(img, out_hw, **kw)
+
+        monkeypatch.setattr(griddet, "resize_bilinear", counting_resize)
+        rng = np.random.default_rng(5)
+        bgs = [rng.random((100, 150), dtype=np.float32) for _ in range(2)]
+        frames = rng.random((6, 3, 100, 150), dtype=np.float32)
+        det = GridDetector(grid=26, resolution=208)
+        cached = [det.response_cells(f, bgs[i % 2]) for i, f in enumerate(frames)]
+        assert len(resized) == 2
+        assert resized[0] is bgs[0] and resized[1] is bgs[1]
+        for i, f in enumerate(frames):
+            fresh = GridDetector(grid=26, resolution=208).response_cells(f, bgs[i % 2])
+            assert cached[i].tobytes() == fresh.tobytes()
+
+    def test_background_cache_is_bounded(self):
+        det = GridDetector()
+        frame, bg = synthetic_frame_with_blob()
+        bgs = [bg.copy() for _ in range(BG_CACHE_SIZE + 3)]
+        for b in bgs:
+            assert det.count(frame, b) == 1
+            assert len(det._bg_cache) <= BG_CACHE_SIZE
 
 
 class TestClassifyKind:
